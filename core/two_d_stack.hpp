@@ -12,6 +12,11 @@
 // core/window.hpp; this file only supplies the stack's two eligibility
 // predicates and CAS attempts.
 //
+// What a certified failed pop sweep means is the `Order` policy: LifoOrder
+// (the default) is the paper's step-down rule above; BagOrder drops the
+// order claim and snaps the window down in one shift, which makes the same
+// container the unordered 2D-bag (core/two_d_bag.hpp, DESIGN.md §12).
+//
 // Column heads pack the node pointer with the column count in one word
 // (core/substack.hpp), so every eligibility check is a single atomic load
 // with no dereference: pushes and window probes run entirely outside the
@@ -41,9 +46,67 @@
 #include "reclaim/slot_registry.hpp"
 
 namespace r2d {
+namespace core {
+
+// Pop-side certification policies for TwoDStack. Each one decides what a
+// certified failed pop sweep under window `max` means, and names the
+// obs::ShiftCause its push and pop shifts are traced under. Both keep the
+// window at or above depth, which pop()'s band arithmetic relies on.
+
+/// The paper's stack rule: step the window down by `shift`, never below
+/// depth; at depth, every column is certified empty.
+struct LifoOrder {
+  static constexpr obs::ShiftCause kPushCause = obs::ShiftCause::kStackPush;
+  static constexpr obs::ShiftCause kPopCause = obs::ShiftCause::kStackPop;
+
+  template <typename T>
+  static Certified certify_pop(const TwoDParams& p, const StackColumn<T>*,
+                               std::uint64_t max) {
+    if (max == p.depth) {
+      // Window is already at the bottom and every column certified
+      // as at-or-below it, i.e. empty (count == 0 <=> empty column,
+      // which the saturation protocol preserves).
+      return Certified::stop();
+    }
+    return Certified::shift_to(std::max(p.depth, max - p.shift));
+  }
+};
+
+/// The bag rule: no order claim, so no rank-error bound to meter. One
+/// packed-word scan decides between "missed an in-band column" (go there),
+/// "all empty" (count == 0 <=> empty, §8 saturation protocol), and
+/// "non-empty columns all below the band", where the window SNAPS down to
+/// hi + depth − 1 — just above the fullest column, so the very next sweep
+/// finds it eligible. Monotone and floored by construction: hi <= max −
+/// depth gives a target <= max − 1, and hi >= 1 gives a target >= depth.
+/// LifoOrder cannot do this (Theorem 1 prices rank error per window
+/// shift); a bag pop after a deep drain pays one scan instead of
+/// (max − hi)/shift certified sweeps.
+struct BagOrder {
+  static constexpr obs::ShiftCause kPushCause = obs::ShiftCause::kBagPut;
+  static constexpr obs::ShiftCause kPopCause = obs::ShiftCause::kBagTake;
+
+  template <typename T>
+  static Certified certify_pop(const TwoDParams& p,
+                               const StackColumn<T>* columns,
+                               std::uint64_t max) {
+    std::uint64_t hi = 0;
+    for (std::size_t i = 0; i < p.width; ++i) {
+      const std::uint64_t count =
+          head_count(columns[i].head.load(std::memory_order_acquire));
+      if (count > max - p.depth) return Certified::restart_at(i);
+      hi = std::max(hi, count);
+    }
+    if (hi == 0) return Certified::stop();
+    return Certified::shift_to(hi + p.depth - 1);
+  }
+};
+
+}  // namespace core
 
 template <typename T, typename Reclaimer = reclaim::EpochReclaimer,
-          template <typename> class Alloc = reclaim::HeapAlloc>
+          template <typename> class Alloc = reclaim::HeapAlloc,
+          typename Order = core::LifoOrder>
 class TwoDStack {
   using Node = core::StackNode<T>;
   using Column = core::StackColumn<T>;
@@ -123,8 +186,9 @@ class TwoDStack {
 
   std::optional<T> pop() {
     const std::uint64_t max = window_max_.load(std::memory_order_acquire);
-    // Invariant: window_max_ never drops below depth (init and down-shift
-    // both clamp), so the band bottom needs no underflow guard.
+    // Invariant: window_max_ never drops below depth (init, +shift pushes
+    // and both Order policies keep it there), so the band bottom needs no
+    // underflow guard.
     const std::uint64_t low = max - params_.depth;
     const std::size_t index = preferred_index();
     const std::uint64_t word =
@@ -156,6 +220,11 @@ class TwoDStack {
       total += core::head_count(columns_[i].head.load(std::memory_order_acquire));
     }
     return total;
+  }
+
+  /// Debug/test accessor for the window word (racy read).
+  std::uint64_t window() const {
+    return window_max_.load(std::memory_order_acquire);
   }
 
   /// Highest per-thread slot index leased across the reclaimer and the
@@ -235,7 +304,7 @@ class TwoDStack {
         },
         /*certified=*/
         [&](std::uint64_t m) { return core::Certified::shift_to(m + params_.shift); },
-        obs::ShiftCause::kStackPush);
+        Order::kPushCause);
   }
 
   __attribute__((noinline, cold)) std::optional<T> pop_slow(
@@ -267,16 +336,9 @@ class TwoDStack {
         },
         /*certified=*/
         [&](std::uint64_t m) {
-          if (m == params_.depth) {
-            // Window is already at the bottom and every column certified
-            // as at-or-below it, i.e. empty (count == 0 <=> empty column,
-            // which the saturation protocol preserves).
-            return core::Certified::stop();
-          }
-          return core::Certified::shift_to(
-              std::max(params_.depth, m - params_.shift));
+          return Order::certify_pop(params_, columns_.get(), m);
         },
-        obs::ShiftCause::kStackPop);
+        Order::kPopCause);
     return out;
   }
 

@@ -122,8 +122,6 @@ enum class ShiftCause : std::uint8_t {
   kQueueGet,
   kBagPut,
   kBagTake,
-  kCounterInc,
-  kCounterDec,
   kDequeFrontPush,
   kDequeFrontPop,
   kDequeBackPush,
@@ -138,8 +136,6 @@ inline const char* to_string(ShiftCause c) {
     case ShiftCause::kQueueGet: return "queue-get";
     case ShiftCause::kBagPut: return "bag-put";
     case ShiftCause::kBagTake: return "bag-take";
-    case ShiftCause::kCounterInc: return "counter-inc";
-    case ShiftCause::kCounterDec: return "counter-dec";
     case ShiftCause::kDequeFrontPush: return "deque-front-push";
     case ShiftCause::kDequeFrontPop: return "deque-front-pop";
     case ShiftCause::kDequeBackPush: return "deque-back-push";

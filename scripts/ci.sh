@@ -17,14 +17,96 @@
 # compiled out), with -DR2D_FAULT=1 (injector in), and with -DR2D_SCHED=1
 # (deterministic scheduler in, including a seeded schedule sweep that
 # crosses 1000 history-checked schedules in the plain config and writes
-# BENCH_sched.json). The plain config ends with overhead guards: paired
-# Release micro_ops runs — metrics-on vs R2D_OBS=0, default vs dormant
-# R2D_FAULT=1, default vs dormant R2D_SCHED=1 — must each stay within 5%.
+# BENCH_sched.json). The plain config ends with the benchmark's self-test
+# and overhead guards (overhead_guard below): paired Release micro_ops
+# runs — metrics-on vs R2D_OBS=0, default vs dormant R2D_FAULT=1, default
+# vs dormant R2D_SCHED=1 — must each stay within 5%.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 SANITIZER="${R2D_SANITIZER:-}"
+
+# overhead_guard LABEL BUILD_DIR CMAKE_FLAG ENV [BUILT_SIDE]
+#
+# Paired Release micro_ops comparison on the single-threaded fast paths
+# between $PERF_DIR and BUILD_DIR (configured here with CMAKE_FLAG). ENV
+# (one NAME=VALUE) is set for the instrumented side only. BUILT_SIDE says
+# which side BUILD_DIR is: "on" (default; the subsystem compiled in, e.g.
+# a dormant R2D_FAULT=1 build) or "off" (the subsystem compiled out, e.g.
+# R2D_OBS=0, with $PERF_DIR as the instrumented side). Five interleaved
+# runs per side (instrumented first), so thermal drift hits both sides
+# equally; best-of-5 per benchmark. Suite-level criterion: single-benchmark
+# ratios on shared CI hosts swing several percent between *identical*
+# binaries, so a per-benchmark assertion would flake on noise; the geomean
+# of the best-of-5 ratios across the suite is what the 5% budget bounds.
+overhead_guard() {
+  local label="$1" dir="$2" flag="$3" env_on="$4" built_side="${5:-on}"
+  cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=Release -DR2D_SANITIZER= "$flag"
+  cmake --build "$dir" -j "$(nproc)"
+  local on_bin="$dir/micro_ops" off_bin="$PERF_DIR/micro_ops"
+  if [ "$built_side" = off ]; then
+    on_bin="$PERF_DIR/micro_ops"
+    off_bin="$dir/micro_ops"
+  fi
+  if [ ! -x "$on_bin" ] || [ ! -x "$off_bin" ]; then
+    echo "$label overhead guard: micro_ops not built (no google-benchmark);" \
+         "skipped"
+    return 0
+  fi
+  echo "=== overhead guard: $label ($env_on vs $flag) ==="
+  local i
+  for i in 1 2 3 4 5; do
+    # --benchmark_out, not --benchmark_format: the display side is pinned
+    # to the capturing console reporter, but the file reporter still
+    # honors the out-format flags.
+    env "$env_on" "$on_bin" --benchmark_filter='single/' \
+      --benchmark_min_time=0.05 --benchmark_out="${label}_on_$i.json" \
+      --benchmark_out_format=json > /dev/null
+    "$off_bin" --benchmark_filter='single/' \
+      --benchmark_min_time=0.05 --benchmark_out="${label}_off_$i.json" \
+      --benchmark_out_format=json > /dev/null
+  done
+  python3 - "$label" <<'PY'
+import json
+import math
+import sys
+
+label = sys.argv[1]
+
+def best(side):
+    out = {}
+    for i in (1, 2, 3, 4, 5):
+        with open("%s_%s_%d.json" % (label, side, i)) as f:
+            rows = json.load(f)["benchmarks"]
+        for b in rows:
+            t = b["real_time"]
+            if b["name"] not in out or t < out[b["name"]]:
+                out[b["name"]] = t
+    return out
+
+on = best("on")
+off = best("off")
+logsum, n = 0.0, 0
+for name in sorted(off):
+    if name not in on:
+        continue
+    ratio = on[name] / off[name]
+    logsum += math.log(ratio)
+    n += 1
+    print("  %-40s off=%8.1fns on=%8.1fns (%+.1f%%)"
+          % (name, off[name], on[name], 100.0 * (ratio - 1.0)))
+if n == 0:
+    raise SystemExit("%s overhead guard: no common benchmarks" % label)
+geomean = math.exp(logsum / n) - 1.0
+if geomean > 0.05:
+    raise SystemExit("%s overhead %.1f%% (geomean) exceeds the 5%% budget"
+                     % (label, 100.0 * geomean))
+print("%s overhead guard: geomean %+.1f%% over %d benchmarks (budget 5%%)"
+      % (label, 100.0 * geomean, n))
+PY
+  rm -f "${label}"_on_[1-5].json "${label}"_off_[1-5].json
+}
 
 cmake -B "$BUILD_DIR" -S . -DR2D_SANITIZER="$SANITIZER"
 cmake --build "$BUILD_DIR" -j "$(nproc)"
@@ -122,7 +204,7 @@ R2D_DEQUE_COLS=locked \
   "$BUILD_DIR/ext_deque_scaling"
 # The open-loop service harness end to end (generator pacing, admission
 # shedding, drain) at a low rate and short horizon — under ASan/TSan this
-# is the only place the bag's take certification and the dispatch drain
+# is the only place the bag's pop certification and the dispatch drain
 # race run against a real arrival schedule. The bench itself exits
 # nonzero on any conservation violation.
 echo "=== smoke: service_dispatch ==="
@@ -230,198 +312,20 @@ if [ -z "$SANITIZER" ]; then
   grep -q '"degraded_entries"' BENCH_service.json
   grep -q '"degraded"' BENCH_service.json
 
-  # Overhead guard: metrics-on (runtime default) vs an R2D_OBS=0 build of
-  # the same Release tree must stay within 5% on the single-threaded
-  # micro_ops fast paths. Best-of-3 per benchmark, runs interleaved so
-  # thermal drift hits both sides equally.
-  NOOBS_PERF_DIR=build-perf-noobs
-  cmake -B "$NOOBS_PERF_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
-    -DR2D_SANITIZER= -DR2D_OBS=0
-  cmake --build "$NOOBS_PERF_DIR" -j "$(nproc)"
-  if [ -x "$PERF_DIR/micro_ops" ] && [ -x "$NOOBS_PERF_DIR/micro_ops" ]; then
-    echo "=== overhead guard: metrics-on vs R2D_OBS=0 micro_ops ==="
-    # --benchmark_out, not --benchmark_format: the display side is pinned
-    # to the capturing console reporter, but the file reporter still
-    # honors the out-format flags.
-    for i in 1 2 3 4 5; do
-      R2D_METRICS=1 "$PERF_DIR/micro_ops" --benchmark_filter='single/' \
-        --benchmark_min_time=0.05 --benchmark_out="obs_on_$i.json" \
-        --benchmark_out_format=json > /dev/null
-      "$NOOBS_PERF_DIR/micro_ops" --benchmark_filter='single/' \
-        --benchmark_min_time=0.05 --benchmark_out="obs_off_$i.json" \
-        --benchmark_out_format=json > /dev/null
-    done
-    # Suite-level criterion (geomean of best-of-5 ratios): single-benchmark
-    # ratios on shared CI hosts swing several percent between *identical*
-    # binaries, so a per-benchmark assertion would flake on noise; the
-    # geomean across the 50/50 suite is what the 5% budget bounds.
-    python3 - <<'PY'
-import json
-import math
+  # Benchmark self-test (perfbench/README.md): tiny runs of every workload
+  # plus a lossy container the conservation check must catch — fails when
+  # a library change breaks perfbench's build or its output checks.
+  echo "=== perfbench self-test ==="
+  python3 perfbench/run.py --self-test
 
-def best(paths):
-    out = {}
-    for p in paths:
-        with open(p) as f:
-            rows = json.load(f)["benchmarks"]
-        for b in rows:
-            t = b["real_time"]
-            if b["name"] not in out or t < out[b["name"]]:
-                out[b["name"]] = t
-    return out
-
-on = best(["obs_on_%d.json" % i for i in (1, 2, 3, 4, 5)])
-off = best(["obs_off_%d.json" % i for i in (1, 2, 3, 4, 5)])
-logsum, n = 0.0, 0
-for name in sorted(off):
-    if name not in on:
-        continue
-    ratio = on[name] / off[name]
-    logsum += math.log(ratio)
-    n += 1
-    print("  %-40s off=%8.1fns on=%8.1fns (%+.1f%%)"
-          % (name, off[name], on[name], 100.0 * (ratio - 1.0)))
-if n == 0:
-    raise SystemExit("overhead guard: no common benchmarks")
-geomean = math.exp(logsum / n) - 1.0
-if geomean > 0.05:
-    raise SystemExit("metrics overhead %.1f%% (geomean) exceeds the 5%% "
-                     "budget" % (100.0 * geomean))
-print("overhead guard: geomean %+.1f%% over %d benchmarks (budget 5%%)"
-      % (100.0 * geomean, n))
-PY
-    rm -f obs_on_1.json obs_on_2.json obs_on_3.json obs_on_4.json \
-          obs_on_5.json obs_off_1.json obs_off_2.json obs_off_3.json \
-          obs_off_4.json obs_off_5.json
-  else
-    echo "overhead guard: micro_ops not built (no google-benchmark); skipped"
-  fi
-
-  # Fault overhead guard (same harness shape as the obs one): a Release
-  # build with the injector compiled in but its policy off must stay
-  # within 5% (geomean) of the default build — the "one relaxed load per
-  # site" claim, measured. The default build's own zero cost is
-  # structural: should_fail is constexpr false, so every fault point
-  # dead-code-eliminates (test_fault asserts the API parity).
-  FAULT_PERF_DIR=build-perf-fault
-  cmake -B "$FAULT_PERF_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
-    -DR2D_SANITIZER= -DR2D_FAULT=1
-  cmake --build "$FAULT_PERF_DIR" -j "$(nproc)"
-  if [ -x "$PERF_DIR/micro_ops" ] && [ -x "$FAULT_PERF_DIR/micro_ops" ]; then
-    echo "=== overhead guard: default vs R2D_FAULT=1 (policy off) ==="
-    for i in 1 2 3 4 5; do
-      R2D_FAULT=off "$FAULT_PERF_DIR/micro_ops" \
-        --benchmark_filter='single/' --benchmark_min_time=0.05 \
-        --benchmark_out="fault_on_$i.json" --benchmark_out_format=json \
-        > /dev/null
-      "$PERF_DIR/micro_ops" --benchmark_filter='single/' \
-        --benchmark_min_time=0.05 --benchmark_out="fault_off_$i.json" \
-        --benchmark_out_format=json > /dev/null
-    done
-    python3 - <<'PY'
-import json
-import math
-
-def best(paths):
-    out = {}
-    for p in paths:
-        with open(p) as f:
-            rows = json.load(f)["benchmarks"]
-        for b in rows:
-            t = b["real_time"]
-            if b["name"] not in out or t < out[b["name"]]:
-                out[b["name"]] = t
-    return out
-
-on = best(["fault_on_%d.json" % i for i in (1, 2, 3, 4, 5)])
-off = best(["fault_off_%d.json" % i for i in (1, 2, 3, 4, 5)])
-logsum, n = 0.0, 0
-for name in sorted(off):
-    if name not in on:
-        continue
-    ratio = on[name] / off[name]
-    logsum += math.log(ratio)
-    n += 1
-    print("  %-40s off=%8.1fns on=%8.1fns (%+.1f%%)"
-          % (name, off[name], on[name], 100.0 * (ratio - 1.0)))
-if n == 0:
-    raise SystemExit("fault overhead guard: no common benchmarks")
-geomean = math.exp(logsum / n) - 1.0
-if geomean > 0.05:
-    raise SystemExit("fault-injection overhead %.1f%% (geomean) exceeds "
-                     "the 5%% budget" % (100.0 * geomean))
-print("fault overhead guard: geomean %+.1f%% over %d benchmarks "
-      "(budget 5%%)" % (100.0 * geomean, n))
-PY
-    rm -f fault_on_1.json fault_on_2.json fault_on_3.json fault_on_4.json \
-          fault_on_5.json fault_off_1.json fault_off_2.json \
-          fault_off_3.json fault_off_4.json fault_off_5.json
-  else
-    echo "fault overhead guard: micro_ops not built; skipped"
-  fi
-
-  # Sched overhead guard (same harness shape): a Release build with the
-  # scheduler compiled in but dormant (R2D_SCHED=off) must stay within 5%
-  # (geomean) of the default build — the cost of a dormant hook point is
-  # one relaxed load, measured. The default build's zero cost is
-  # structural: preempt_point() is constexpr empty (test_sched asserts
-  # the stub's API parity).
-  SCHED_PERF_DIR=build-perf-sched
-  cmake -B "$SCHED_PERF_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
-    -DR2D_SANITIZER= -DR2D_SCHED=1
-  cmake --build "$SCHED_PERF_DIR" -j "$(nproc)"
-  if [ -x "$PERF_DIR/micro_ops" ] && [ -x "$SCHED_PERF_DIR/micro_ops" ]; then
-    echo "=== overhead guard: default vs R2D_SCHED=1 (policy off) ==="
-    for i in 1 2 3 4 5; do
-      R2D_SCHED=off "$SCHED_PERF_DIR/micro_ops" \
-        --benchmark_filter='single/' --benchmark_min_time=0.05 \
-        --benchmark_out="sched_on_$i.json" --benchmark_out_format=json \
-        > /dev/null
-      "$PERF_DIR/micro_ops" --benchmark_filter='single/' \
-        --benchmark_min_time=0.05 --benchmark_out="sched_off_$i.json" \
-        --benchmark_out_format=json > /dev/null
-    done
-    python3 - <<'PY'
-import json
-import math
-
-def best(paths):
-    out = {}
-    for p in paths:
-        with open(p) as f:
-            rows = json.load(f)["benchmarks"]
-        for b in rows:
-            t = b["real_time"]
-            if b["name"] not in out or t < out[b["name"]]:
-                out[b["name"]] = t
-    return out
-
-on = best(["sched_on_%d.json" % i for i in (1, 2, 3, 4, 5)])
-off = best(["sched_off_%d.json" % i for i in (1, 2, 3, 4, 5)])
-logsum, n = 0.0, 0
-for name in sorted(off):
-    if name not in on:
-        continue
-    ratio = on[name] / off[name]
-    logsum += math.log(ratio)
-    n += 1
-    print("  %-40s off=%8.1fns on=%8.1fns (%+.1f%%)"
-          % (name, off[name], on[name], 100.0 * (ratio - 1.0)))
-if n == 0:
-    raise SystemExit("sched overhead guard: no common benchmarks")
-geomean = math.exp(logsum / n) - 1.0
-if geomean > 0.05:
-    raise SystemExit("dormant-scheduler overhead %.1f%% (geomean) exceeds "
-                     "the 5%% budget" % (100.0 * geomean))
-print("sched overhead guard: geomean %+.1f%% over %d benchmarks "
-      "(budget 5%%)" % (100.0 * geomean, n))
-PY
-    rm -f sched_on_1.json sched_on_2.json sched_on_3.json sched_on_4.json \
-          sched_on_5.json sched_off_1.json sched_off_2.json \
-          sched_off_3.json sched_off_4.json sched_off_5.json
-  else
-    echo "sched overhead guard: micro_ops not built; skipped"
-  fi
+  # Overhead guards: each compiled-in diagnostic subsystem, dormant or at
+  # its runtime default, must stay within 5% of the build without it. The
+  # default build's own zero cost for fault and sched is structural: their
+  # points compile to constexpr false / empty (test_fault and test_sched
+  # assert the stubs' API parity).
+  overhead_guard obs "$PERF_DIR-noobs" -DR2D_OBS=0 R2D_METRICS=1 off
+  overhead_guard fault "$PERF_DIR-fault" -DR2D_FAULT=1 R2D_FAULT=off
+  overhead_guard sched "$PERF_DIR-sched" -DR2D_SCHED=1 R2D_SCHED=off
 fi
 
 echo "ci.sh: all green"

@@ -1,6 +1,7 @@
-// TwoDBag correctness: multiset model checks (width-1 vs std::multiset,
-// per the service-harness issue), window snap-down behavior, concurrent
-// no-loss/no-duplication, and the §10 alloc/reclaimer policy matrix.
+// TwoDBag correctness: multiset model checks (width-1 vs std::multiset),
+// window snap-down behavior and how it differs from the stack's step-down,
+// concurrent no-loss/no-duplication, and the §10 alloc/reclaimer policy
+// matrix.
 #include <atomic>
 #include <cstdint>
 #include <optional>
@@ -10,6 +11,7 @@
 
 #include "core/params.hpp"
 #include "core/two_d_bag.hpp"
+#include "core/two_d_stack.hpp"
 #include "reclaim/alloc.hpp"
 #include "reclaim/hazard.hpp"
 #include "check.hpp"
@@ -26,8 +28,8 @@ std::uint64_t rng(std::uint64_t& state) {
   return state * 0x2545f4914f6cdd1dull;
 }
 
-/// Width-1 bag against a std::multiset model: a random put/take sequence
-/// where every take must return some element the model still holds, and
+/// Width-1 bag against a std::multiset model: a random push/pop sequence
+/// where every pop must return some element the model still holds, and
 /// a drain at the end must return exactly the model's residue.
 void check_width1_model() {
   r2d::core::TwoDParams p;
@@ -42,10 +44,10 @@ void check_width1_model() {
     if (rng(state) % 2 == 0) {
       // Duplicate labels on purpose: a multiset model must cope.
       const std::uint64_t v = label++ % 97;
-      bag.put(v);
+      bag.push(v);
       model.insert(v);
     } else {
-      const auto v = bag.take();
+      const auto v = bag.pop();
       if (model.empty()) {
         CHECK(!v.has_value());
       } else {
@@ -57,15 +59,15 @@ void check_width1_model() {
     }
   }
   std::multiset<std::uint64_t> drained;
-  while (auto v = bag.take()) drained.insert(*v);
+  while (auto v = bag.pop()) drained.insert(*v);
   CHECK(drained == model);
   CHECK(bag.empty());
-  CHECK(!bag.take().has_value());
+  CHECK(!bag.pop().has_value());
 }
 
 /// Wide bag, sequential: no loss, no duplication, no invention — and the
-/// window invariants (never below depth; the take-side snap-down brings
-/// it back down after a drain instead of leaving it at the put-side
+/// window invariants (never below depth; the pop-side snap-down brings
+/// it back down after a drain instead of leaving it at the push-side
 /// high-water mark).
 void check_wide_sequential() {
   r2d::core::TwoDParams p;
@@ -73,12 +75,12 @@ void check_wide_sequential() {
   p.depth = 4;
   p.shift = 2;
   r2d::TwoDBag<std::uint64_t> bag(p);
-  CHECK(!bag.take().has_value());
+  CHECK(!bag.pop().has_value());
   CHECK_EQ(bag.window(), p.depth);
 
   std::set<std::uint64_t> outstanding;
   for (std::uint64_t i = 0; i < kN; ++i) {
-    bag.put(i);
+    bag.push(i);
     outstanding.insert(i);
   }
   CHECK_EQ(bag.approx_size(), kN);
@@ -86,18 +88,51 @@ void check_wide_sequential() {
   CHECK(high_window >= p.depth);
 
   for (std::uint64_t i = 0; i < kN; ++i) {
-    const auto v = bag.take();
+    const auto v = bag.pop();
     CHECK(v.has_value());
     CHECK(outstanding.erase(*v) == 1);
     CHECK(bag.window() >= p.depth);
   }
   CHECK(outstanding.empty());
-  CHECK(!bag.take().has_value());
+  CHECK(!bag.pop().has_value());
   CHECK(bag.empty());
-  // Draining kN items through a depth-4 band forces certified take
+  // Draining kN items through a depth-4 band forces certified pop
   // sweeps; the snap-down must have moved the window well below the
-  // put-side high-water mark by the time the bag is empty.
+  // push-side high-water mark by the time the bag is empty.
   CHECK(bag.window() < high_window);
+}
+
+/// Width 1, depth 4, shift 2: 20 pushes leave count 20 under window 20,
+/// then pops walk the window down. From the 5th pop on, the column keeps
+/// reaching the band bottom and the pop certifies: LifoOrder steps the
+/// window down by `shift`, so each step serves two pops, while BagOrder
+/// snaps it to count + depth − 1. Returns the window after each pop.
+template <typename Container>
+std::vector<std::uint64_t> width1_pop_windows() {
+  Container c(r2d::core::TwoDParams{1, 4, 2});
+  for (std::uint64_t i = 0; i < 20; ++i) c.push(i);
+  CHECK_EQ(c.window(), std::uint64_t{20});
+  std::vector<std::uint64_t> windows;
+  while (c.pop()) windows.push_back(c.window());
+  CHECK_EQ(windows.size(), std::size_t{20});
+  return windows;
+}
+
+/// The two Order policies must be observably different on the same
+/// schedule; a bag wired to the stack's rule fails here.
+void check_policies_differ() {
+  const auto stack = width1_pop_windows<r2d::TwoDStack<std::uint64_t>>();
+  const auto bag = width1_pop_windows<r2d::TwoDBag<std::uint64_t>>();
+  // After the 5th pop 18 vs 19, after the 7th 16 vs 17; both end at the
+  // depth floor.
+  const std::vector<std::uint64_t> stack_expected = {
+      20, 20, 20, 20, 18, 18, 16, 16, 14, 14,
+      12, 12, 10, 10, 8,  8,  6,  6,  4,  4};
+  const std::vector<std::uint64_t> bag_expected = {
+      20, 20, 20, 20, 19, 18, 17, 16, 15, 14,
+      13, 12, 11, 10, 9,  8,  7,  6,  5,  4};
+  CHECK(stack == stack_expected);
+  CHECK(bag == bag_expected);
 }
 
 /// 4-thread hammer: 2 producers push disjoint label ranges, 2 consumers
@@ -115,7 +150,7 @@ void check_concurrent(Bag& bag) {
   for (unsigned t = 0; t < kProducers; ++t) {
     threads.emplace_back([&, t] {
       for (std::uint64_t i = 0; i < kPerProducer; ++i) {
-        bag.put((std::uint64_t{t} << 32) | i);
+        bag.push((std::uint64_t{t} << 32) | i);
       }
       producers_live.fetch_sub(1, std::memory_order_release);
     });
@@ -124,11 +159,11 @@ void check_concurrent(Bag& bag) {
     threads.emplace_back([&, t] {
       taken[t].reserve(kPerProducer);
       while (true) {
-        auto v = bag.take();
+        auto v = bag.pop();
         if (v) {
           taken[t].push_back(*v);
         } else if (producers_live.load(std::memory_order_acquire) == 0) {
-          if (!(v = bag.take())) break;
+          if (!(v = bag.pop())) break;
           taken[t].push_back(*v);
         } else {
           std::this_thread::yield();
@@ -155,6 +190,7 @@ void check_concurrent(Bag& bag) {
 int main() {
   check_width1_model();
   check_wide_sequential();
+  check_policies_differ();
   {
     r2d::core::TwoDParams p;
     p.width = 8;
@@ -184,8 +220,8 @@ int main() {
     r2d::TwoDBag<std::uint64_t, r2d::reclaim::EpochReclaimer,
                  r2d::reclaim::PoolAlloc>
         bag(p);
-    for (std::uint64_t i = 0; i < 1000; ++i) bag.put(i);
-    const auto v = bag.take();
+    for (std::uint64_t i = 0; i < 1000; ++i) bag.push(i);
+    const auto v = bag.pop();
     CHECK(v.has_value());
   }
   return TEST_MAIN_RESULT();

@@ -276,12 +276,12 @@ void check_bag_conservation(const std::string& spec, std::uint64_t seed) {
     for (unsigned i = 0; i < 8; ++i) {
       const std::uint64_t v = tid * 1000 + i + 1;
       const auto inv = h.stamp();
-      bag.put(v);
+      bag.push(v);
       h.push(tid, v, true, inv, h.stamp());
     }
     for (unsigned i = 0; i < 4; ++i) {
       const auto inv = h.stamp();
-      const auto v = bag.take();
+      const auto v = bag.pop();
       h.pop(tid, v, inv, h.stamp());
     }
   });
@@ -290,7 +290,7 @@ void check_bag_conservation(const std::string& spec, std::uint64_t seed) {
     if (!op.ok) continue;
     balance[op.value] += op.kind == OpKind::kPush ? 1 : -1;
   }
-  while (auto v = bag.take()) balance[*v] -= 1;
+  while (auto v = bag.pop()) balance[*v] -= 1;
   for (const auto& [value, count] : balance) {
     if (count != 0) {
       std::fprintf(stderr, "bag conservation broken at value %llu (%d)\n",
