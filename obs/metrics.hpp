@@ -87,7 +87,7 @@ enum class Counter : unsigned {
   kFastHits,  ///< operations completed on the first (fast-path) probe
   // Reclaimers.
   kEpochPins,           ///< EpochReclaimer::pin() critical-section entries
-  kEpochAdvanceTries,   ///< global-epoch CAS attempts
+  kEpochAdvanceTries,   ///< heavy fences (each followed by scan + CAS)
   kEpochAdvances,       ///< global-epoch CAS wins
   kEpochOrphansQueued,  ///< retire-buckets parked on the orphan queue
   kEpochOrphansDrained, ///< orphan buckets freed after their grace period

@@ -17,6 +17,13 @@
 // reclaim/membarrier.hpp). Elsewhere — or with R2D_MEMBARRIER=0 — pin()
 // falls back to the classic per-operation seq_cst fence.
 //
+// Skipping an advance is always safe (garbage just waits), so the heavy
+// fence is paid only when an advance can succeed: try_advance() returns
+// early when another thread advanced since this slot last looked, when a
+// fence-free pre-scan already sees a straggler, or when another thread's
+// fence-scan-CAS is in flight. Only the scan after the fence may permit
+// the epoch CAS.
+//
 // Policy contract: see reclaim/leaky.hpp. Bounded garbage: at most the
 // nodes retired across three epochs per thread.
 #pragma once
@@ -54,9 +61,11 @@ namespace r2d::reclaim {
 
 class EpochReclaimer : private detail::Lessor {
   static constexpr std::uint64_t kIdle = ~std::uint64_t{0};
-  // Retires between advance attempts. The membarrier path amortizes its
-  // advance-side syscall over a longer cadence; garbage stays bounded by
-  // three epochs of retires per thread either way.
+  // Retires between calls to try_advance(). A call fences only when an
+  // advance can succeed (see try_advance), so the cadence sets how soon
+  // an epoch advances once its last straggler unpins, while the fence
+  // rate follows the advance rate; garbage stays bounded by three epochs
+  // of retires per thread either way.
   static constexpr std::uint64_t kAdvanceEvery = 64;
   static constexpr std::uint64_t kAdvanceEveryMembarrier = 256;
 
@@ -73,6 +82,7 @@ class EpochReclaimer : private detail::Lessor {
     std::vector<Retired> bucket[3];
     std::uint64_t bucket_epoch[3] = {0, 0, 0};
     std::uint64_t retires_since_advance = 0;
+    std::uint64_t seen_epoch = 0;  ///< global epoch at this slot's last try
   };
 
  public:
@@ -260,6 +270,7 @@ class EpochReclaimer : private detail::Lessor {
     }
     for (unsigned k = 0; k < 3; ++k) s.bucket_epoch[k] = 0;
     s.retires_since_advance = 0;
+    s.seen_epoch = 0;
     s.epoch.store(kIdle, std::memory_order_release);
   }
 
@@ -350,29 +361,57 @@ class EpochReclaimer : private detail::Lessor {
     }
     if (++s->retires_since_advance >= advance_every_) {
       s->retires_since_advance = 0;
-      try_advance();
+      try_advance(s);
     }
   }
 
-  void try_advance() {
+  /// True when no slot announces an epoch other than `e`. Without a
+  /// preceding heavy fence the answer is only a hint: a stale "no" may
+  /// skip an attempt, but only a scan after the fence may permit an
+  /// advance.
+  bool quiescent_at(std::uint64_t e) const {
+    const std::size_t n = hwm_.load(std::memory_order_acquire);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t se = slots_[i].epoch.load(std::memory_order_acquire);
+      if (se != kIdle && se != e) return false;  // straggler, older epoch
+    }
+    return true;
+  }
+
+  /// Cadence-triggered advance. Skipping is always safe — nodes merely
+  /// wait for a later advance — so every cheap reason to skip is taken
+  /// before the heavy fence, which is paid (and counted as a try) only
+  /// when an advance can succeed, by one thread at a time.
+  void try_advance(Slot* s) {
+    const std::uint64_t seen = global_epoch_.load(std::memory_order_acquire);
+    // 1. Another thread advanced, and paid the fence, since this slot's
+    //    last try.
+    if (seen != s->seen_epoch) {
+      s->seen_epoch = seen;
+      drain_orphans(seen);
+      return;
+    }
+    // 2. A straggler is visible without the fence: the scan after it
+    //    would fail too.
+    if (!quiescent_at(seen)) return;
+    // 3. Another thread's fence-scan-CAS is in flight. Only the flag
+    //    holder CASes, so the epoch cannot move under the holder's scan.
+    if (advancing_.exchange(true, std::memory_order_acquire)) return;
     obs::count<obs::Counter::kEpochAdvanceTries>();
     // Make every thread's (announce; load) pair ordered with respect to
     // the scan below — the heavy half of pin()'s asymmetric fence.
     detail::asymmetric_heavy_fence(membarrier_);
     const std::uint64_t e = global_epoch_.load(std::memory_order_acquire);
-    const std::size_t n = hwm_.load(std::memory_order_acquire);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t se = slots_[i].epoch.load(std::memory_order_acquire);
-      if (se != kIdle && se != e) return;  // straggler in an older epoch
-    }
-    std::uint64_t expected = e;
-    if (global_epoch_.compare_exchange_strong(expected, e + 1,
+    std::uint64_t now = e;
+    if (quiescent_at(e) &&
+        global_epoch_.compare_exchange_strong(now, e + 1,
                                               std::memory_order_acq_rel)) {
       obs::count<obs::Counter::kEpochAdvances>();
-      drain_orphans(e + 1);
-    } else {
-      drain_orphans(expected);
+      now = e + 1;
     }
+    advancing_.store(false, std::memory_order_release);
+    s->seen_epoch = now;
+    drain_orphans(now);
   }
 
   Slot* local_slot() {
@@ -405,6 +444,7 @@ class EpochReclaimer : private detail::Lessor {
   // it sizes). claim_slot throws SlotsExhausted past this many threads.
   const std::size_t max_slots_ = detail::max_slots();
   std::atomic<std::uint64_t> global_epoch_{0};
+  std::atomic<bool> advancing_{false};  ///< a fence-scan-CAS is in flight
   std::atomic<std::size_t> hwm_{0};
   std::unique_ptr<Slot[]> slots_{new Slot[max_slots_]};
   // Orphan queue: retirees inherited from exited threads' slots, drained

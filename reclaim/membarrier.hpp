@@ -65,16 +65,6 @@ inline bool use_membarrier() {
   return util::env_u64("R2D_MEMBARRIER", 1) != 0 && membarrier_supported();
 }
 
-/// Fast-side half of the pair: compiler-only when the heavy side uses
-/// membarrier, a real seq_cst fence otherwise.
-inline void asymmetric_light_fence(bool membarrier_active) {
-  if (membarrier_active) {
-    std::atomic_signal_fence(std::memory_order_seq_cst);
-  } else {
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-  }
-}
-
 /// Slow-side half, issued before scanning announcement slots.
 inline void asymmetric_heavy_fence(bool membarrier_active) {
   if (membarrier_active) {

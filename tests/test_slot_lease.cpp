@@ -192,7 +192,10 @@ void orphans_drain_while_live() {
   // Keep the instance busy from the main thread with plain (un-Tracked)
   // retires: every retire ticks the advance cadence, epochs advance (no
   // stragglers left), the orphans' grace periods pass, and try_advance
-  // drains them. 4096 retires = at least 16 advance attempts.
+  // drains them. 4096 retires = at least 16 cadence triggers; with no
+  // other thread running there is no straggler and no rival advance, so
+  // every trigger but possibly the first (which may only record an
+  // earlier advance) fences and advances the epoch.
   for (int i = 0; i < 4096; ++i) {
     auto guard = reclaimer.pin();
     guard.retire(new std::uint64_t{19});
