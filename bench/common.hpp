@@ -26,7 +26,6 @@
 #include "stacks/distributed_stack.hpp"
 #include "stacks/elimination_stack.hpp"
 #include "stacks/ksegment_stack.hpp"
-#include "reclaim/alloc.hpp"
 #include "reclaim/membarrier.hpp"
 #include "stacks/treiber_stack.hpp"
 #include "util/env.hpp"
@@ -119,27 +118,19 @@ Point measure_with(Make&& make_stack, const harness::Workload& w,
   return point;
 }
 
-/// R2D_ALLOC=pool swaps every run_algorithm-built container onto the
-/// pool+magazine allocation policy (reclaim::PoolAlloc); the default heap
-/// policy is the other arm of the E10 / micro A/B comparison.
-inline bool use_pool_alloc() {
-  static const bool pool = util::env_str("R2D_ALLOC", "heap") == "pool";
-  return pool;
-}
-
-/// run_algorithm monomorphised over the allocation policy.
-template <template <typename> class Alloc>
-Point run_algorithm_with(const AlgoConfig& cfg, const harness::Workload& w,
-                         unsigned repeats) {
-  using Epoch = reclaim::EpochReclaimer;
+/// Run the named algorithm under the given workload. Supported names:
+/// treiber, elimination, k-segment, random, random-c2, k-robin, 2D-stack.
+/// Every container runs on the library's default allocation policy.
+inline Point run_algorithm(const AlgoConfig& cfg, const harness::Workload& w,
+                           unsigned repeats) {
   const unsigned threads = std::max(1u, cfg.threads);
   if (cfg.name == "treiber") {
-    using Stack = stacks::TreiberStack<Label, Epoch, Alloc>;
+    using Stack = stacks::TreiberStack<Label>;
     return measure_with<Stack>([] { return std::make_unique<Stack>(); }, w,
                                repeats);
   }
   if (cfg.name == "elimination") {
-    using Stack = stacks::EliminationStack<Label, Epoch, Alloc>;
+    using Stack = stacks::EliminationStack<Label>;
     return measure_with<Stack>(
         [threads] {
           // Empirically tuned on this host (see EXPERIMENTS.md E3 notes):
@@ -153,48 +144,37 @@ Point run_algorithm_with(const AlgoConfig& cfg, const harness::Workload& w,
         w, repeats);
   }
   if (cfg.name == "k-segment") {
-    using Stack = stacks::KSegmentStack<Label, Epoch, Alloc>;
+    using Stack = stacks::KSegmentStack<Label>;
     const std::size_t k = std::max<std::uint64_t>(1, cfg.k);
     return measure_with<Stack>([k] { return std::make_unique<Stack>(k); }, w,
                                repeats);
   }
   if (cfg.name == "random") {
-    using Stack = stacks::RandomStack<Label, Epoch, Alloc>;
+    using Stack = stacks::RandomStack<Label>;
     const std::size_t width = std::max<std::size_t>(1, 4 * threads);
     return measure_with<Stack>(
         [width] { return std::make_unique<Stack>(width); }, w, repeats);
   }
   if (cfg.name == "random-c2") {
-    using Stack = stacks::RandomC2Stack<Label, Epoch, Alloc>;
+    using Stack = stacks::RandomC2Stack<Label>;
     const std::size_t width = std::max<std::size_t>(1, 4 * threads);
     return measure_with<Stack>(
         [width] { return std::make_unique<Stack>(width); }, w, repeats);
   }
   if (cfg.name == "k-robin") {
-    using Stack = stacks::KRobinStack<Label, Epoch, Alloc>;
+    using Stack = stacks::KRobinStack<Label>;
     const std::size_t width = krobin_width_for(cfg.k, threads);
     return measure_with<Stack>(
         [width] { return std::make_unique<Stack>(width); }, w, repeats);
   }
   if (cfg.name == "2D-stack") {
-    using Stack = TwoDStack<Label, Epoch, Alloc>;
+    using Stack = TwoDStack<Label>;
     const auto params = two_d_params_for(cfg);
     return measure_with<Stack>(
         [params] { return std::make_unique<Stack>(params); }, w, repeats);
   }
   std::cerr << "unknown algorithm: " << cfg.name << "\n";
   return {};
-}
-
-/// Run the named algorithm under the given workload. Supported names:
-/// treiber, elimination, k-segment, random, random-c2, k-robin, 2D-stack.
-/// The allocation substrate follows R2D_ALLOC (heap | pool).
-inline Point run_algorithm(const AlgoConfig& cfg, const harness::Workload& w,
-                           unsigned repeats) {
-  if (use_pool_alloc()) {
-    return run_algorithm_with<reclaim::PoolAlloc>(cfg, w, repeats);
-  }
-  return run_algorithm_with<reclaim::HeapAlloc>(cfg, w, repeats);
 }
 
 /// Common environment knobs for all benches.

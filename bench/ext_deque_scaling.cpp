@@ -79,8 +79,8 @@ Row measure(const r2d::core::TwoDParams& params,
   return row;
 }
 
-/// Backend x allocator dispatch by name (monomorphised, like
-/// run_algorithm_with).
+/// Backend x allocator dispatch by name (monomorphised per
+/// configuration).
 Row measure_config(const std::string& backend, const std::string& alloc,
                    const r2d::core::TwoDParams& params,
                    const r2d::harness::Workload& w, unsigned repeats) {

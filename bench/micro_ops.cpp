@@ -68,28 +68,6 @@ std::unique_ptr<r2d::TwoDStack<Label>> make_bench_stack(unsigned threads) {
   return std::make_unique<r2d::TwoDStack<Label>>(p);
 }
 
-// Pool-policy A/B partners (reclaim/alloc.hpp): identical shapes on the
-// PoolAlloc substrate, so the single/contended deltas against the heap
-// rows price the allocation policy alone.
-using TreiberPoolStack =
-    r2d::stacks::TreiberStack<Label, r2d::reclaim::EpochReclaimer,
-                              r2d::reclaim::PoolAlloc>;
-using TwoDPoolStack = r2d::TwoDStack<Label, r2d::reclaim::EpochReclaimer,
-                                     r2d::reclaim::PoolAlloc>;
-
-template <>
-std::unique_ptr<TreiberPoolStack> make_bench_stack(unsigned) {
-  return std::make_unique<TreiberPoolStack>();
-}
-template <>
-std::unique_ptr<TwoDPoolStack> make_bench_stack(unsigned threads) {
-  r2d::core::TwoDParams p;
-  p.width = 4 * std::max(1u, threads);
-  p.depth = 8;
-  p.shift = 4;
-  return std::make_unique<TwoDPoolStack>(p);
-}
-
 /// Alternating push/pop on one thread: the uncontended round-trip cost.
 template <typename S>
 void BM_PushPopSingle(benchmark::State& state) {
@@ -140,8 +118,6 @@ using Rand = r2d::stacks::RandomStack<Label>;
 using RandC2 = r2d::stacks::RandomC2Stack<Label>;
 using KRobin = r2d::stacks::KRobinStack<Label>;
 using TwoD = r2d::TwoDStack<Label>;
-using TreiberPool = TreiberPoolStack;
-using TwoDPool = TwoDPoolStack;
 
 R2D_MICRO(Treiber)
 R2D_MICRO(Elim)
@@ -150,8 +126,6 @@ R2D_MICRO(Rand)
 R2D_MICRO(RandC2)
 R2D_MICRO(KRobin)
 R2D_MICRO(TwoD)
-R2D_MICRO(TreiberPool)
-R2D_MICRO(TwoDPool)
 
 int main(int argc, char** argv) {
   return r2d::bench::benchmark_main_with_json("micro_ops", argc, argv);

@@ -19,7 +19,7 @@
 namespace r2d {
 
 template <typename T, typename Reclaimer = reclaim::EpochReclaimer,
-          template <typename> class Alloc = reclaim::HeapAlloc>
+          template <typename> class Alloc = reclaim::PoolAlloc>
 using TwoDBag = TwoDStack<T, Reclaimer, Alloc, core::BagOrder>;
 
 }  // namespace r2d

@@ -55,7 +55,7 @@
 namespace r2d {
 
 template <typename T, typename Reclaimer = reclaim::EpochReclaimer,
-          template <typename> class Alloc = reclaim::HeapAlloc,
+          template <typename> class Alloc = reclaim::PoolAlloc,
           template <typename> class Column = core::DefaultDequeColumn>
 class TwoDDeque {
   using Col = Column<T>;

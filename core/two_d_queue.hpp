@@ -43,7 +43,7 @@
 namespace r2d {
 
 template <typename T, typename Reclaimer = reclaim::EpochReclaimer,
-          template <typename> class Alloc = reclaim::HeapAlloc>
+          template <typename> class Alloc = reclaim::PoolAlloc>
 class TwoDQueue {
   struct Node {
     std::atomic<Node*> next{nullptr};

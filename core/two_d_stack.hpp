@@ -25,9 +25,9 @@
 //
 // Memory reclamation is a template policy (see reclaim/leaky.hpp for the
 // contract); the default is epoch-based. Node storage is a second policy
-// (reclaim/alloc.hpp): HeapAlloc by default, PoolAlloc for slab-recycled,
-// magazine-cached blocks — retired nodes flow back to the owning allocator
-// through the reclaimer (DESIGN.md §10).
+// (reclaim/alloc.hpp): PoolAlloc's slab-recycled, magazine-cached blocks
+// by default, HeapAlloc for plain new/delete — retired nodes flow back to
+// the owning allocator through the reclaimer (DESIGN.md §10).
 #pragma once
 
 #include <algorithm>
@@ -105,7 +105,7 @@ struct BagOrder {
 }  // namespace core
 
 template <typename T, typename Reclaimer = reclaim::EpochReclaimer,
-          template <typename> class Alloc = reclaim::HeapAlloc,
+          template <typename> class Alloc = reclaim::PoolAlloc,
           typename Order = core::LifoOrder>
 class TwoDStack {
   using Node = core::StackNode<T>;

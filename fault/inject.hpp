@@ -73,6 +73,8 @@ enum class Site : std::uint8_t {
   kSegmentCell,       ///< KSegment cell scan — probe skipped this cell
   kColumnPick,        ///< Random/RandomC2/KRobin pick loop — forced
                       ///< re-pick / probe consumed
+  kEpochAdvance,      ///< EpochReclaimer::try_advance between pre-scan
+                      ///< and fence — advance skipped this attempt
   kCount,
 };
 
@@ -95,6 +97,7 @@ constexpr const char* site_name(Site s) {
     case Site::kElimExchange: return "elim-exchange";
     case Site::kSegmentCell: return "segment-cell";
     case Site::kColumnPick: return "column-pick";
+    case Site::kEpochAdvance: return "epoch-advance";
     case Site::kCount: break;
   }
   return "?";

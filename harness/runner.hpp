@@ -48,8 +48,9 @@ concept RelaxedDeque = requires(D d, typename D::value_type v) {
 };
 
 /// Per-thread label generator: unique across threads (thread id in the
-/// high bits), dense within one.
-class LabelSequence {
+/// high bits), dense within one. Runners keep one per thread in a vector,
+/// so each sits on its own cache line: every push bumps it.
+class alignas(64) LabelSequence {
  public:
   explicit LabelSequence(unsigned thread_id)
       : next_((static_cast<std::uint64_t>(thread_id) + 1) << 40) {}

@@ -13,13 +13,14 @@
 // reclaimer's destructor drains deferred retires into the allocator, so
 // the allocator must be destroyed after it.
 //
-//   HeapAlloc — new/delete; the default, and the zero-state baseline E10
-//               measures the pool against.
-//   PoolAlloc — reclaim::Pool slabs + a per-thread magazine layer: acquire
-//               and release are a pointer pop/push on a thread-owned LIFO
-//               in steady state (no shared atomics at all); magazines
-//               refill/flush by moving a whole batch to or from a sharded
-//               depot in one tagged CAS.
+//   PoolAlloc — the default: reclaim::Pool slabs + a per-thread magazine
+//               layer. Acquire and release are a pointer pop/push on a
+//               thread-owned LIFO in steady state (no shared atomics at
+//               all); magazines refill/flush by moving a whole batch to or
+//               from a sharded depot in one tagged CAS, and an empty
+//               depot refills a magazine from the slab in one cursor CAS.
+//   HeapAlloc — new/delete; the zero-state baseline E10 measures the pool
+//               against.
 #pragma once
 
 #include <atomic>
@@ -36,7 +37,7 @@
 
 namespace r2d::reclaim {
 
-/// The default policy: plain heap allocation, no state. Containers
+/// Plain heap allocation, no state: the baseline policy. Containers
 /// instantiate one per node type; [[no_unique_address]] makes it free.
 template <typename T>
 struct HeapAlloc {
@@ -49,7 +50,7 @@ struct HeapAlloc {
   std::size_t slot_hwm() const { return 0; }  ///< stateless: no slots
 };
 
-/// Pool-backed policy with per-thread magazines.
+/// The default policy: pool-backed, with per-thread magazines.
 //
 // Each thread claims a cache-line-sized slot per instance (the reclaimers'
 // claim_slot machinery: at most R2D_MAX_SLOTS distinct threads per
@@ -59,9 +60,10 @@ struct HeapAlloc {
 // so alternating acquire/release never oscillates against the shared
 // depot. Overflowing magazines are flushed whole — one tagged CAS splices
 // the entire batch onto a depot shard; refills pop a full batch the same
-// way. Blocks come from (and are finally freed by) the embedded
-// reclaim::Pool's slabs, so nothing is lost when a thread dies with a
-// populated magazine.
+// way, and when the depot is dry too, one cursor CAS carves up to a
+// magazine's worth of fresh blocks from the slab. Blocks come from (and
+// are finally freed by) the embedded reclaim::Pool's slabs, so nothing is
+// lost when a thread dies with a populated magazine.
 //
 // Magazine size: R2D_MAGAZINE (default 32 blocks ≈ 2 KiB of cache-line
 // blocks), read once per instance.
@@ -103,11 +105,13 @@ class PoolAlloc : private detail::Lessor {
   template <typename... Args>
   T* acquire(Args&&... args) {
     void* block = take_block(local_slot());
+    Pool<T>::unpoison(block);
     return ::new (block) T{std::forward<Args>(args)...};
   }
 
   void release(T* obj) {
     obj->~T();
+    Pool<T>::poison(obj);
     put_block(local_slot(), obj);
   }
 
@@ -169,17 +173,20 @@ class PoolAlloc : private detail::Lessor {
       s->count = mag_size_ - 1;
       return block;
     }
-    // Forced depot miss: both magazines are empty here, so skipping the
-    // scan safely lands on the slab path.
-    if (R2D_HOOK_POINT(kDepotPop)) [[unlikely]] {
-      return pool_.alloc_block();
-    }
-    if ((block = depot_pop(s)) != nullptr) {
+    // A forced depot miss skips the scan; both magazines are empty here,
+    // so it lands on the slab refill below.
+    if (!R2D_HOOK_POINT(kDepotPop) && (block = depot_pop(s)) != nullptr) {
       s->mag = Pool<T>::chain_next(block).load(std::memory_order_relaxed);
       s->count = mag_size_ - 1;
       return block;
     }
-    return pool_.alloc_block();
+    // Slab refill: one cursor CAS carves up to a magazine's worth of
+    // blocks, already linked; the first is handed out, the rest become
+    // the working magazine.
+    const auto run = pool_.carve(mag_size_);
+    s->mag = Pool<T>::chain_next(run.head).load(std::memory_order_relaxed);
+    s->count = run.count - 1;
+    return run.head;
   }
 
   void put_block(Slot* s, void* block) {

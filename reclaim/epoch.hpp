@@ -394,6 +394,9 @@ class EpochReclaimer : private detail::Lessor {
     // 2. A straggler is visible without the fence: the scan after it
     //    would fail too.
     if (!quiescent_at(seen)) return;
+    // Injected deferral: skipping is always safe. Under the scheduler this
+    // is where another thread's advance can land after the pre-scan.
+    if (R2D_HOOK_POINT(kEpochAdvance)) [[unlikely]] return;
     // 3. Another thread's fence-scan-CAS is in flight. Only the flag
     //    holder CASes, so the epoch cannot move under the holder's scan.
     if (advancing_.exchange(true, std::memory_order_acquire)) return;

@@ -9,12 +9,12 @@
 //
 // Storage is slabs, not per-block heap allocations: blocks are padded and
 // aligned to cache lines (a freshly recycled node never false-shares with
-// its neighbor), carving a block is one CAS on a packed {slab, index}
-// cursor, and the destructor frees the slabs wholesale — so blocks parked
-// in a dead thread's magazine or a depot are reclaimed no matter where
-// they sit. The contract that buys: every T must be *destroyed* before the
-// pool dies (release — or at least ~T — must have run), and no block may
-// be touched afterwards.
+// its neighbor), carving a run of consecutive blocks is one CAS on a
+// packed {slab, index} cursor, and the destructor frees the slabs
+// wholesale — so blocks parked in a dead thread's magazine or a depot are
+// reclaimed no matter where they sit. The contract that buys: every T
+// must be *destroyed* before the pool dies (release — or at least ~T —
+// must have run), and no block may be touched afterwards.
 //
 // ABA on the free lists is defended with a 16-bit tag packed into the top
 // bits of the head word (x86-64 user pointers fit in 48 bits); shards cut
@@ -29,12 +29,32 @@
 // winner's placement-new of T — the load the ABA tag exists to
 // invalidate — is then a race on no byte at all, so the lock-free
 // splice protocol is exactly as written even under TSan.
+//
+// Under ASan the T footprint of every free block (carved but not handed
+// out, or released) is poisoned, and unpoisoned again by acquire: with
+// recycling, a node its reclaimer frees too early is otherwise reused
+// silently instead of reported. The tail chain words stay addressable.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <new>
 #include <utility>
+
+#if defined(__SANITIZE_ADDRESS__)
+#define R2D_POOL_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define R2D_POOL_ASAN 1
+#endif
+#endif
+#ifndef R2D_POOL_ASAN
+#define R2D_POOL_ASAN 0
+#endif
+#if R2D_POOL_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include "core/substack.hpp"  // InstanceLocal
 #include "sched/hook.hpp"
@@ -48,7 +68,6 @@ class Pool {
                 "Pool packs a 16-bit ABA tag above 48-bit pointers");
 
   static constexpr std::size_t kShards = 16;
-  static constexpr std::size_t kSlabBlocks = 64;
   static constexpr std::uint64_t kPtrMask = (std::uint64_t{1} << 48) - 1;
 
   struct alignas(64) Shard {
@@ -70,6 +89,14 @@ class Pool {
   static constexpr std::size_t kBlockAlign = 64;
   static_assert(alignof(T) <= kBlockAlign,
                 "Pool blocks are 64-byte aligned; over-aligned T unsupported");
+  /// Blocks per slab: the most one carve can return.
+  static constexpr std::size_t kSlabBlocks = 64;
+
+  /// A run of fresh blocks linked through chain_next, null-terminated.
+  struct Carved {
+    void* head;
+    unsigned count;
+  };
 
   Pool() = default;
   Pool(const Pool&) = delete;
@@ -91,11 +118,13 @@ class Pool {
   T* acquire(Args&&... args) {
     void* block = pop_block(local_shard());
     if (block == nullptr) block = alloc_block();
+    unpoison(block);
     return ::new (block) T{std::forward<Args>(args)...};
   }
 
   void release(T* obj) {
     obj->~T();
+    poison(obj);
     push_block(local_shard(), obj);
   }
 
@@ -123,32 +152,49 @@ class Pool {
   /// block).
   void free_block(void* block) { push_block(local_shard(), block); }
 
-  /// Carve a fresh, never-used block. One CAS on the packed {slab, index}
-  /// cursor in steady state; losers of a slab-growth race free their
+  /// Carve one fresh block (or a scavenged one, see carve()).
+  void* alloc_block() { return carve(1).head; }
+
+  /// Carve up to `want` consecutive fresh blocks with one CAS on the
+  /// packed {slab, index} cursor; a slab end cuts the run short. The run
+  /// comes back linked through chain_next with a null tail, every block's
+  /// T footprint poisoned. Losers of a slab-growth race free their
   /// candidate and retry on the winner's slab.
   ///
   /// OOM contract (DESIGN.md §15): when a slab cannot be allocated, the
-  /// pool falls back to *recycled* blocks from every shard's free list
+  /// pool falls back to one *recycled* block from any shard's free list
   /// before propagating bad_alloc — under memory pressure the pool keeps
   /// serving as long as anything has been released anywhere. The cursor
   /// is never left mid-advance: grow() only ever installs a fully
   /// constructed slab with one CAS, and a failed growth touches no
   /// shared state at all.
-  void* alloc_block() {
+  Carved carve(unsigned want) {
     std::uint64_t cur = bump_.load(std::memory_order_acquire);
     while (true) {
       Slab* slab = reinterpret_cast<Slab*>(cur & kPtrMask);
       const std::uint64_t index = cur >> 48;
       if (slab != nullptr && index < kSlabBlocks) {
+        const std::uint64_t end =
+            std::min<std::uint64_t>(index + want, kSlabBlocks);
         if (bump_.compare_exchange_weak(
-                cur, (cur & kPtrMask) | ((index + 1) << 48),
+                cur, (cur & kPtrMask) | (end << 48),
                 std::memory_order_acq_rel, std::memory_order_acquire)) {
-          return block_at(slab, index);
+          for (std::uint64_t i = index; i < end; ++i) {
+            void* block = block_at(slab, i);
+            poison(block);
+            chain_next(block).store(i + 1 < end ? block_at(slab, i + 1)
+                                                : nullptr,
+                                    std::memory_order_relaxed);
+          }
+          return {block_at(slab, index), static_cast<unsigned>(end - index)};
         }
         continue;
       }
       if (!grow(cur)) {
-        if (void* block = scavenge()) return block;
+        if (void* block = scavenge()) {
+          chain_next(block).store(nullptr, std::memory_order_relaxed);
+          return {block, 1};
+        }
         // A racing thread may have installed a slab while we scavenged;
         // only give up once the cursor is provably unchanged.
         const std::uint64_t latest = bump_.load(std::memory_order_acquire);
@@ -159,6 +205,18 @@ class Pool {
         throw std::bad_alloc{};
       }
     }
+  }
+
+  /// ASan bookkeeping for a free block's T footprint (no-ops otherwise).
+  static void poison([[maybe_unused]] void* block) {
+#if R2D_POOL_ASAN
+    ASAN_POISON_MEMORY_REGION(block, sizeof(T));
+#endif
+  }
+  static void unpoison([[maybe_unused]] void* block) {
+#if R2D_POOL_ASAN
+    ASAN_UNPOISON_MEMORY_REGION(block, sizeof(T));
+#endif
   }
 
  private:

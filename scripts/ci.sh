@@ -222,8 +222,8 @@ R2D_CHURN_ONLY=1 R2D_DURATION_MS=40 R2D_OFFERED_LOAD=30000 \
 if [ -x "$BUILD_DIR/micro_ops" ]; then
   # Runs under whatever sanitizer this config selected — the assertion
   # that the packed head-word fast paths are clean under ASan/TSan too.
-  # The filter also covers the TreiberPool/TwoDPool rows, so the
-  # pool-policy containers recycle under ASan (real frees) and TSan.
+  # Every row runs on the default PoolAlloc policy, so the containers
+  # recycle under ASan (free blocks poisoned) and TSan.
   echo "=== smoke: micro_ops ==="
   "$BUILD_DIR/micro_ops" --benchmark_filter='single/' \
     --benchmark_min_time=0.02

@@ -132,7 +132,7 @@ class ColumnArrayStack {
 }  // namespace detail
 
 template <typename T, typename Reclaimer = reclaim::EpochReclaimer,
-          template <typename> class Alloc = reclaim::HeapAlloc>
+          template <typename> class Alloc = reclaim::PoolAlloc>
 class RandomStack : public detail::ColumnArrayStack<T, Reclaimer, Alloc> {
   using Base = detail::ColumnArrayStack<T, Reclaimer, Alloc>;
   using Node = typename Base::Node;
@@ -173,7 +173,7 @@ class RandomStack : public detail::ColumnArrayStack<T, Reclaimer, Alloc> {
 };
 
 template <typename T, typename Reclaimer = reclaim::EpochReclaimer,
-          template <typename> class Alloc = reclaim::HeapAlloc>
+          template <typename> class Alloc = reclaim::PoolAlloc>
 class RandomC2Stack : public detail::ColumnArrayStack<T, Reclaimer, Alloc> {
   using Base = detail::ColumnArrayStack<T, Reclaimer, Alloc>;
   using Node = typename Base::Node;
@@ -221,7 +221,7 @@ class RandomC2Stack : public detail::ColumnArrayStack<T, Reclaimer, Alloc> {
 };
 
 template <typename T, typename Reclaimer = reclaim::EpochReclaimer,
-          template <typename> class Alloc = reclaim::HeapAlloc>
+          template <typename> class Alloc = reclaim::PoolAlloc>
 class KRobinStack : public detail::ColumnArrayStack<T, Reclaimer, Alloc> {
   using Base = detail::ColumnArrayStack<T, Reclaimer, Alloc>;
   using Node = typename Base::Node;

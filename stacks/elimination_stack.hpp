@@ -35,7 +35,7 @@ struct EliminationParams {
 };
 
 template <typename T, typename Reclaimer = reclaim::EpochReclaimer,
-          template <typename> class Alloc = reclaim::HeapAlloc>
+          template <typename> class Alloc = reclaim::PoolAlloc>
 class EliminationStack {
   using Node = core::StackNode<T>;
 

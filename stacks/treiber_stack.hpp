@@ -20,7 +20,7 @@
 namespace r2d::stacks {
 
 template <typename T, typename Reclaimer = reclaim::EpochReclaimer,
-          template <typename> class Alloc = reclaim::HeapAlloc>
+          template <typename> class Alloc = reclaim::PoolAlloc>
 class TreiberStack {
   using Node = core::StackNode<T>;
 

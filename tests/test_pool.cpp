@@ -1,8 +1,10 @@
 // Allocation-policy tests: the slab Pool + magazine PoolAlloc layer
 // (reclaim/alloc.hpp) and containers mounted on it.
 //
-// Covers the batch splice machinery (magazine -> spare -> depot and back:
-// no block lost or duplicated across refill/flush), cross-thread release
+// Covers the batch splice machinery (magazine -> spare -> depot and back,
+// and slab refills cut short at slab ends: no block lost or duplicated
+// across refill/flush), the ASan poisoning of free blocks, the OOM
+// fallback to recycled blocks (fault build), cross-thread release
 // (acquire on T1, release + reuse on T2), an ABA tag hammer that shuttles
 // blocks between threads through an exchange slot (the TSan configuration
 // of this test is what would catch a torn free-list splice), coexisting
@@ -15,6 +17,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <new>
 #include <set>
 #include <thread>
 #include <vector>
@@ -23,6 +26,7 @@
 #include "core/two_d_deque.hpp"
 #include "core/two_d_queue.hpp"
 #include "core/two_d_stack.hpp"
+#include "fault/inject.hpp"
 #include "reclaim/alloc.hpp"
 #include "reclaim/hazard.hpp"
 #include "reclaim/pool.hpp"
@@ -127,6 +131,85 @@ int main() {
     CHECK_EQ(alloc.magazine_size(), 32u);
     splice_round_trip(alloc, 500);
   }
+  for (const char* mag : {"48", "100"}) {
+    // Magazine sizes that do not divide Pool::kSlabBlocks: slab refills
+    // are cut short at slab ends (100 never fits one slab), so partial
+    // carved magazines meet parks, flushes and depot refills.
+    setenv("R2D_MAGAZINE", mag, 1);
+    r2d::reclaim::PoolAlloc<Tracked> alloc;
+    splice_round_trip(alloc, 47);
+    splice_round_trip(alloc, 300);
+    splice_round_trip(alloc, 1000);
+    unsetenv("R2D_MAGAZINE");
+  }
+#if R2D_POOL_ASAN
+  {
+    // ASan still sees use-after-release with recycling: a free block's T
+    // footprint is poisoned, from its carve and from every release, until
+    // acquire hands it out; the tail chain words never are.
+    r2d::reclaim::Pool<Tracked> pool;
+    const auto run = pool.carve(4);
+    CHECK_EQ(run.count, 4u);
+    for (void* b = run.head; b != nullptr;
+         b = r2d::reclaim::Pool<Tracked>::chain_next(b).load()) {
+      CHECK(__asan_address_is_poisoned(b));
+    }
+    r2d::reclaim::PoolAlloc<Tracked> alloc;
+    Tracked* p = alloc.acquire(std::uint64_t{1});
+    CHECK(!__asan_address_is_poisoned(p));
+    alloc.release(p);
+    CHECK(__asan_address_is_poisoned(p));
+    Tracked* q = alloc.acquire(std::uint64_t{2});
+    CHECK(q == p);
+    CHECK(!__asan_address_is_poisoned(q));
+    alloc.release(q);
+  }
+#endif
+#if R2D_FAULT
+  {
+    // OOM fallback (DESIGN.md §15) under the batched slab refill: once
+    // the first slab is used up and growth fails, acquire serves recycled
+    // blocks from the pool's free lists and throws bad_alloc only when
+    // none are left.
+    auto& inj = r2d::fault::injector();
+    const auto acquire_throws = [](r2d::reclaim::PoolAlloc<Tracked>& a) {
+      try {
+        a.release(a.acquire(std::uint64_t{0}));
+      } catch (const std::bad_alloc&) {
+        return true;
+      }
+      return false;
+    };
+    setenv("R2D_MAGAZINE", "4", 1);
+    r2d::reclaim::PoolAlloc<Tracked> alloc;
+    constexpr std::size_t kSlab = r2d::reclaim::Pool<Tracked>::kSlabBlocks;
+    inj.configure("site:slab-grow:2", 1);  // the first slab only
+    std::vector<Tracked*> held;
+    for (std::uint64_t i = 0; i < kSlab; ++i) held.push_back(alloc.acquire(i));
+    CHECK(acquire_throws(alloc));
+    // Three blocks reach the free lists: a second thread releases them
+    // into its partial working magazine, which its exit flushes block by
+    // block.
+    const std::set<Tracked*> recycled(held.end() - 3, held.end());
+    held.resize(kSlab - 3);
+    std::thread([&] {
+      for (Tracked* p : recycled) alloc.release(p);
+    }).join();
+    std::set<Tracked*> served;
+    for (int i = 0; i < 3; ++i) {
+      inj.configure("site:slab-grow:1", 1);  // the next growth fails
+      held.push_back(alloc.acquire(std::uint64_t{7}));
+      served.insert(held.back());
+    }
+    CHECK(served == recycled);
+    inj.configure("site:slab-grow:1", 1);
+    CHECK(acquire_throws(alloc));
+    inj.configure("off", 0);
+    for (Tracked* p : held) alloc.release(p);
+    CHECK_EQ(Tracked::live.load(), 0);
+    unsetenv("R2D_MAGAZINE");
+  }
+#endif
 
   {
     // Cross-thread release: blocks acquired on the main thread, released

@@ -6,12 +6,17 @@
 // strict baselines under adversarial interleavings, and the k / per-end
 // rank-error bound of TwoDStack / TwoDDeque checked per schedule across
 // a seed sweep (R2D_SCHED_SWEEP_SEEDS seeds x 3 policies; the ci.sh
-// sched arm raises the sweep past 1000 schedules).
+// sched arm raises the sweep past 1000 schedules), and the epoch
+// reclaimer's grace period when an advance lands inside another
+// thread's try_advance.
+#include <atomic>
 #include <cstdio>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "check.hpp"
@@ -20,6 +25,7 @@
 #include "core/two_d_stack.hpp"
 #include "core/two_d_bag.hpp"
 #include "harness/quality.hpp"
+#include "reclaim/epoch.hpp"
 #include "sched/dst.hpp"
 #include "sched/history.hpp"
 #include "stacks/treiber_stack.hpp"
@@ -300,6 +306,47 @@ void check_bag_conservation(const std::string& spec, std::uint64_t seed) {
   }
 }
 
+/// A node that records its free instead of returning its memory, so a
+/// premature free shows as a flag rather than as a real use-after-free.
+struct Marked {
+  std::atomic<bool> freed{false};
+};
+template <typename T>
+struct MarkAlloc {
+  void release(T* node) { node->freed.store(true); }
+};
+
+/// EBR's grace period across try_advance's window between its fence-free
+/// pre-scan and its fence (the `epoch-advance` hook). The main thread pins
+/// and holds node 0 for the whole run; a short-lived thread retires it,
+/// and that thread's exit queues it as an orphan stamped with the pinned
+/// epoch. Two scheduled threads then retire until their advances race:
+/// when one's pre-scan passes and the scheduler lands the other's whole
+/// advance in the window, the pinned main thread becomes a straggler that
+/// only the post-fence scan sees. Without that scan the epoch moves twice
+/// past the pin and the orphan drain frees node 0 under it.
+void check_epoch_advance_window(std::uint64_t seed) {
+  ReproducerOnFailure guard;
+  constexpr std::size_t kRetires = 1024;  // >= 4 advance cadences each
+  std::unique_ptr<Marked[]> nodes(new Marked[1 + 2 * kRetires]);
+  MarkAlloc<Marked> alloc;
+  r2d::reclaim::EpochReclaimer rec;  // after alloc: its teardown frees
+  {
+    auto pinned = rec.pin();
+    std::thread([&] {
+      auto g = rec.pin();
+      g.retire(&nodes[0], alloc);
+    }).join();
+    run_schedule("random", seed, 2, [&](unsigned tid) {
+      for (std::size_t i = 0; i < kRetires; ++i) {
+        auto g = rec.pin();
+        g.retire(&nodes[1 + tid * kRetires + i], alloc);
+      }
+    });
+    CHECK(!nodes[0].freed.load());
+  }
+}
+
 /// Same policy + seed ==> byte-identical history, twice over. This IS
 /// the bit-replayability acceptance criterion.
 void check_replay_determinism() {
@@ -363,6 +410,11 @@ void run_sweep() {
       check_deque_per_end_bound(spec, seed);
       check_bag_conservation(spec, seed);
     }
+  }
+  // Random only: the race needs a preemption inside one thread's advance
+  // window, which PCT's few change points almost never place there.
+  for (std::uint64_t s = 0; s < 4 * seeds; ++s) {
+    check_epoch_advance_window(0xadu + s * 0x9e37);
   }
   std::printf("sched sweep: %llu schedules explored\n",
               static_cast<unsigned long long>(g_sweep.schedules));
